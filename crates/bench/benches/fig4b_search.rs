@@ -17,10 +17,9 @@
 //!   machine-readable `BENCH_scan.json` at the workspace root (committed per PR as
 //!   the perf-trajectory record; smoke runs never overwrite it);
 //! * a **scheduler sweep + churn scenario** (`fig4b_sched_sweep` /
-//!   `fig4b_sched_churn`): the PR-6 work-stealing chunk-range scheduler vs the
-//!   static shard-per-lane fan-out at shards 1/2/4/8 × lanes 1/2/4, plus a
-//!   Zipf(1.1) query mix with interleaved inserts at shards 4 / lanes 2,
-//!   recorded in `BENCH_sched.json`;
+//!   `fig4b_sched_churn`): the work-stealing chunk-range executor at shards
+//!   1/2/4/8 × lanes 1/2/4, plus a Zipf(1.1) query mix with interleaved inserts
+//!   at shards 4 / lanes 2, recorded in `BENCH_sched.json`;
 //! * an **observability-overhead scenario** (`fig4b_obs_overhead`): the same
 //!   64k-document scan with the telemetry registry at `Off`, `Counters` and
 //!   `Spans`, recorded in `BENCH_obs.json`, failing the run if always-on
@@ -33,10 +32,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mkse_bench::{BenchFixture, ZipfSampler};
-use mkse_core::search::scan_ranked;
+use mkse_core::search::{scan_ranked, sort_matches};
 use mkse_core::{
-    CacheConfig, IndexStore, QueryBuilder, QueryIndex, ScanScheduler, SearchEngine, ShardedStore,
-    TelemetryLevel,
+    CacheConfig, IndexStore, QueryBuilder, QueryIndex, SearchEngine, ShardedStore, TelemetryLevel,
 };
 use mkse_protocol::{Client, CloudServer, QueryMessage, Request};
 use rand::rngs::StdRng;
@@ -388,11 +386,7 @@ fn bench_scan_layout(_c: &mut Criterion) {
     // Equivalence before timing: the plane is a layout change only, and
     // sharding must never change results.
     let (aos_matches, aos_stats) = scan_ranked(&indices, &query);
-    let plane = engines[0]
-        .1
-        .store()
-        .scan_plane(0)
-        .expect("plane maintained");
+    let plane = engines[0].1.store().scan_plane(0);
     assert_eq!(plane.scan_ranked(query.bits()), (aos_matches, aos_stats));
     let reference = engines[0].1.search(&query);
     for (shards, engine) in &engines[1..] {
@@ -626,23 +620,20 @@ fn bench_batch_sweep(_c: &mut Criterion) {
 
 /// Scheduler sweep + churn scenario, recorded in `BENCH_sched.json`.
 ///
-/// **Sweep** (`fig4b_sched_sweep`): the PR-6 work-stealing scheduler against the
-/// static shard-per-lane fan-out it replaces, on the 64k-document r = 448 store
-/// at shard counts 1/2/4/8 × requested lanes 1/2/4. The two modes run as twin
-/// engines over identical stores and are measured in interleaved windows
-/// (`measure_ns_pair`) so host noise cancels out of the recorded ratio. The
-/// static scheduler's weakness is the sweep's reason to exist: with more shards
-/// than lanes it serializes whole shards per lane, while stealing keeps every
-/// lane busy with chunk-range units from any shard.
+/// **Sweep** (`fig4b_sched_sweep`): the work-stealing executor on the
+/// 64k-document r = 448 store at shard counts 1/2/4/8 × requested lanes 1/2/4.
+/// With more shards than lanes it keeps every lane busy with chunk-range units
+/// from any shard; at one lane each unit is a whole shard.
 ///
 /// **Churn** (`fig4b_sched_churn`): a skewed Zipf(1.1) repeated-query workload
 /// with an insert interleaved every 16 ops, at shards 4 / lanes 2 with the
 /// result cache on — the regime where per-shard cache invalidation and scan
 /// re-execution meet the scheduler. Each timed pass runs on a fresh clone of the
-/// warm store so inserts see the same state every pass; the median of the
-/// interleaved passes is recorded per mode.
+/// warm store so inserts see the same state every pass; the best pass is
+/// recorded.
 ///
-/// Results are asserted byte-identical across modes before timing. The JSON
+/// Before timing, replies are asserted byte-identical to the sequential
+/// reference scan (sweep) and to a 1-lane engine's (sweep and churn). The JSON
 /// carries `host_cores` and both the requested and effective lane counts: on a
 /// small host the engine clamps lanes to the available parallelism, and the
 /// committed record must say so rather than imply a wider machine. Smoke runs
@@ -675,52 +666,44 @@ fn bench_sched_sweep(_c: &mut Criterion) {
     let query = build_query(&fixture, 13);
 
     let mut entries: Vec<String> = Vec::new();
-    let mut reference: Option<Vec<mkse_core::SearchMatch>> = None;
-    let mut engines: Vec<(
-        usize,
-        SearchEngine<ShardedStore>,
-        SearchEngine<ShardedStore>,
-    )> = Vec::new();
+    let reference = {
+        let (mut matches, _) = scan_ranked(&indices, &query);
+        sort_matches(&mut matches);
+        matches
+    };
+    let mut engines: Vec<(usize, SearchEngine<ShardedStore>)> = Vec::new();
     for &shards in &[1usize, 2, 4, 8] {
-        // Both timed engines are clones of a never-timed base: a clone's arenas
-        // are freshly packed, so cloning exactly one side would hand it an
-        // allocator-layout advantage unrelated to the scheduler.
+        // The timed engine is a clone of a never-timed base, so every shard
+        // count's arenas are freshly packed alike.
         let mut base = SearchEngine::sharded(fixture.params.clone(), shards);
         base.insert_all(indices.iter().cloned()).expect("upload");
-        let mut r#static = base.clone().with_scan_scheduler(ScanScheduler::Static);
+        base.set_scan_lanes(1);
+        let one_lane = base.search(&query);
+        assert_eq!(one_lane, reference, "1-lane engine differs");
         let mut stealing = base.clone();
-        let reference = reference.get_or_insert_with(|| base.search(&query));
         for &lanes in &[1usize, 2, 4] {
             stealing.set_scan_lanes(lanes);
-            r#static.set_scan_lanes(lanes);
             // Byte-identical replies before timing, at every knob setting.
-            assert_eq!(&stealing.search(&query), reference, "stealing differs");
-            assert_eq!(&r#static.search(&query), reference, "static differs");
+            assert_eq!(stealing.search(&query), reference, "stealing differs");
         }
-        engines.push((shards, r#static, stealing));
+        engines.push((shards, stealing));
     }
 
-    // All 24 (shards × lanes × mode) configurations are compared in one
-    // committed record, so — like the layout sweep above — each is measured in
+    // All 12 (shards × lanes) configurations are compared in one committed
+    // record, so — like the layout sweep above — each is measured in
     // interleaved rounds of short windows with the best window kept: host-speed
     // phases (frequency scaling, noisy neighbors) then hit every configuration
     // alike instead of whichever was measured during a slow phase.
     let lanes_sweep = [1usize, 2, 4];
-    let mut configs: Vec<(usize, &str, usize, usize, f64)> = Vec::new();
+    let mut configs: Vec<(usize, usize, usize, f64)> = Vec::new();
     for e in 0..engines.len() {
         for &lanes in &lanes_sweep {
-            configs.push((e, "static", lanes, 0, f64::MAX));
-            configs.push((e, "stealing", lanes, 0, f64::MAX));
+            configs.push((e, lanes, 0, f64::MAX));
         }
     }
     for round in 0..40 {
-        for (e, mode, lanes, effective, best) in configs.iter_mut() {
-            let (_, r#static, stealing) = &mut engines[*e];
-            let engine = if *mode == "static" {
-                r#static
-            } else {
-                stealing
-            };
+        for (e, lanes, effective, best) in configs.iter_mut() {
+            let engine = &mut engines[*e].1;
             engine.set_scan_lanes(*lanes);
             *effective = engine.scan_lanes();
             let engine: &SearchEngine<ShardedStore> = engine;
@@ -732,12 +715,12 @@ fn bench_sched_sweep(_c: &mut Criterion) {
             break;
         }
     }
-    for &(e, mode, lanes, effective, ns) in &configs {
+    for &(e, lanes, effective, ns) in &configs {
         let shards = engines[e].0;
         let ns = if quick { 0.0 } else { ns };
-        report(&format!("sweep/{mode}/shards{shards}/lanes{lanes}"), ns);
+        report(&format!("sweep/stealing/shards{shards}/lanes{lanes}"), ns);
         entries.push(format!(
-            "    {{\"section\": \"sweep\", \"mode\": \"{mode}\", \"shards\": {shards}, \
+            "    {{\"section\": \"sweep\", \"mode\": \"stealing\", \"shards\": {shards}, \
              \"lanes_requested\": {lanes}, \"lanes\": {effective}, \
              \"ns_per_query\": {ns:.1}}}"
         ));
@@ -765,16 +748,13 @@ fn bench_sched_sweep(_c: &mut Criterion) {
     churn_seed
         .insert_all(base_indices.iter().cloned())
         .expect("upload");
-    // Clone symmetry, as in the sweep: both timed engines descend from the
-    // same never-timed seed.
-    let churn_static = churn_seed
-        .clone()
-        .with_scan_scheduler(ScanScheduler::Static);
+    // As in the sweep, the timed engine descends from a never-timed seed.
+    let churn_one_lane = churn_seed.clone().with_scan_lanes(1);
     let churn_base = churn_seed.clone();
     let churn_lanes = churn_base.scan_lanes();
 
-    // One churn pass over a fresh clone: every pass (and both modes) sees the
-    // same store state, query sequence and insert points.
+    // One churn pass over a fresh clone: every pass (and both engines) sees
+    // the same store state, query sequence and insert points.
     let run_churn = |base: &SearchEngine<ShardedStore>| {
         let mut engine = base.clone();
         let mut replies = Vec::with_capacity(CHURN_OPS);
@@ -788,12 +768,12 @@ fn bench_sched_sweep(_c: &mut Criterion) {
         }
         replies
     };
-    // Byte-identical replies (matches, ranks and stats for all 256 ops) across
-    // schedulers before timing.
+    // Byte-identical replies (matches, ranks and stats for all 256 ops) to
+    // the 1-lane engine's before timing.
     assert_eq!(
         run_churn(&churn_base),
-        run_churn(&churn_static),
-        "churn replies differ across schedulers"
+        run_churn(&churn_one_lane),
+        "churn replies differ from the 1-lane engine"
     );
 
     let timed_pass = |base: &SearchEngine<ShardedStore>| -> f64 {
@@ -801,27 +781,24 @@ fn bench_sched_sweep(_c: &mut Criterion) {
         std::hint::black_box(run_churn(base));
         start.elapsed().as_nanos() as f64 / CHURN_OPS as f64
     };
-    // Interleaved passes, best pass kept — same noise-cancellation rationale as
+    // Repeated passes, best pass kept — same noise-cancellation rationale as
     // the sweep above (each pass is already 256 ops long, so a "window" here is
     // one full pass).
-    let (mut static_best, mut stealing_best) = (f64::MAX, f64::MAX);
+    let mut best = f64::MAX;
     let churn_rounds = if quick { 1 } else { 15 };
     for _ in 0..churn_rounds {
-        static_best = static_best.min(timed_pass(&churn_static));
-        stealing_best = stealing_best.min(timed_pass(&churn_base));
+        best = best.min(timed_pass(&churn_base));
     }
-    for (mode, best) in [("static", static_best), ("stealing", stealing_best)] {
-        let ns = if quick { 0.0 } else { best };
-        report(
-            &format!("churn/{mode}/shards{CHURN_SHARDS}/lanes{CHURN_LANES}"),
-            ns,
-        );
-        entries.push(format!(
-            "    {{\"section\": \"churn\", \"mode\": \"{mode}\", \"shards\": {CHURN_SHARDS}, \
-             \"lanes_requested\": {CHURN_LANES}, \"lanes\": {churn_lanes}, \
-             \"ns_per_query\": {ns:.1}}}"
-        ));
-    }
+    let ns = if quick { 0.0 } else { best };
+    report(
+        &format!("churn/stealing/shards{CHURN_SHARDS}/lanes{CHURN_LANES}"),
+        ns,
+    );
+    entries.push(format!(
+        "    {{\"section\": \"churn\", \"mode\": \"stealing\", \"shards\": {CHURN_SHARDS}, \
+         \"lanes_requested\": {CHURN_LANES}, \"lanes\": {churn_lanes}, \
+         \"ns_per_query\": {ns:.1}}}"
+    ));
     println!();
 
     if quick {

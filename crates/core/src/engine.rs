@@ -7,11 +7,11 @@
 //! identical** to the sequential reference scan ([`crate::search::CloudIndex`]):
 //!
 //! * per-shard scans sweep the store's block-major [`crate::scanplane::ScanPlane`]
-//!   when one is maintained (both built-in stores) — contiguous, query-pruned
-//!   columns instead of per-document pointer chasing — and fall back to the
-//!   sequential path's [`crate::search::scan_ranked`] loop otherwise; both produce
-//!   identical matches, scan order and [`SearchStats`] (r-bit comparison counts
-//!   are unchanged: block pruning happens *inside* one r-bit comparison);
+//!   (every [`IndexStore`] maintains one per shard) — contiguous, query-pruned
+//!   columns instead of per-document pointer chasing — producing the same
+//!   matches, scan order and [`SearchStats`] as [`crate::search::scan_ranked`]
+//!   (r-bit comparison counts are unchanged: block pruning happens *inside* one
+//!   r-bit comparison);
 //! * merged ranked results are sorted by descending rank, ties broken by ascending
 //!   document id — a total order, so the merged list is unique and equals the
 //!   sequential sort;
@@ -22,32 +22,32 @@
 //!
 //! ## Scheduling: work-stealing over chunk ranges
 //!
-//! Parallelism is a property of the **executor**, not the data layout. By
-//! default the engine runs the [`ScanScheduler::WorkStealing`] scheduler: every
-//! selected shard's scan plane is carved into fixed-size chunk-range work units
-//! ([`SearchEngine::steal_granularity`] chunks of [`crate::scanplane::CHUNK`]
-//! documents each), the units are dealt contiguously onto the engine's scan
-//! lanes, and a lane that drains its own deal **steals** units from the tail of
-//! another lane's — so an oversharded store (more shards than lanes) degrades
-//! to the balanced schedule instead of serializing whole shards behind one
-//! lane, and a host with more lanes than shards splits single shards across
-//! lanes instead of idling. Stitching is deterministic: every unit writes into
-//! its pre-assigned result slot, a shard's unit results concatenate in chunk
-//! (slot) order and its stats sum, so replies, [`SearchStats`] and cache
-//! traffic are byte-identical to sequential execution no matter which lane ran
-//! which unit. [`ScanScheduler::Static`] — the original shard-per-lane fan-out
-//! — remains selectable, and is the automatic fallback for stores without a
-//! scan plane and for a single effective lane (with nobody to steal from,
-//! unit dispatch is pure overhead — one lane scans whole shards). The cache is
-//! scheduler-invisible either way: lookups and admissions happen per whole
-//! shard, on the stitched per-shard results.
+//! Parallelism is a property of the **executor**, not the data layout. Every
+//! scan is cut into work units — each a chunk range of one shard's scan plane
+//! — that are dealt contiguously onto the engine's scan lanes; a lane that
+//! drains its own deal **steals** units from the tail of another lane's. With
+//! more than one lane, ranked scans split every shard into
+//! [`SearchEngine::steal_granularity`]-chunk units ([`crate::scanplane::CHUNK`]
+//! documents per chunk), so an oversharded store (more shards than lanes)
+//! degrades to the balanced schedule instead of serializing whole shards
+//! behind one lane, and a host with more lanes than shards splits single
+//! shards across lanes instead of idling. With one lane — nobody to steal
+//! from — and for unranked/metadata scans, a unit is a whole shard, which
+//! skips the per-range setup (active-block lists, result buffers). Stitching
+//! is deterministic: every unit writes into its pre-assigned result slot, a
+//! shard's unit results concatenate in chunk (slot) order and its stats sum, so
+//! replies, [`SearchStats`] and cache traffic are byte-identical to sequential
+//! execution no matter which lane ran which unit. The cache never sees units:
+//! lookups and admissions happen per whole shard, on the stitched results.
 //!
-//! Batched execution ([`SearchEngine::search_batch_with_stats`]) evaluates many
-//! queries per shard-scan pass: each shard worker receives the whole (cache-missed,
-//! intra-batch-deduplicated) query set and makes **one fused pass** over the
-//! shard's scan plane ([`crate::scanplane::ScanPlane::scan_ranked_batch`]), so a
-//! b-query round trip streams each arena once instead of b times *and* pays the
-//! thread fan-out once instead of once per query. Queries with identical
+//! Every ranked search — a single query is a batch of one — runs through one
+//! body that evaluates many queries per shard-scan pass: each unit receives its
+//! shard's whole (cache-missed, intra-batch-deduplicated) query set and makes
+//! **one fused pass** over its chunk range
+//! ([`crate::scanplane::ScanPlane::scan_ranked_batch_chunks`]), so a b-query
+//! round trip ([`SearchEngine::search_batch_with_stats`]) streams each arena
+//! once instead of b times *and* pays the lane fan-out once instead of once per
+//! query. Queries with identical
 //! [`QueryFingerprint`]s inside one batch are scanned once and fanned out to every
 //! duplicate position; with the cache enabled the duplicates are resolved through
 //! real cache lookups against what the first occurrence admitted — exactly the
@@ -76,7 +76,7 @@ use crate::document_index::RankedDocumentIndex;
 use crate::params::SystemParams;
 use crate::persistence::PersistenceError;
 use crate::query::QueryIndex;
-use crate::search::{scan_ranked, sort_matches, SearchMatch, SearchStats};
+use crate::search::{sort_matches, SearchMatch, SearchStats};
 use crate::storage::{IndexStore, ShardedStore, StoreError, VecStore};
 use crate::telemetry::{
     Counter, Gauge, LaneStats, MetricsSnapshot, Stage, Telemetry, TelemetryLevel,
@@ -90,37 +90,37 @@ mod pool;
 use pool::{StealDeques, WorkerPool};
 
 /// One shard's ranked-scan output: scan-order matches plus the shard's stats —
-/// exactly what [`scan_ranked`] returns and what the cache memoizes.
+/// exactly what [`crate::search::scan_ranked`] returns and what the cache
+/// memoizes.
 type ShardScan = (Vec<SearchMatch>, SearchStats);
-
-/// How the engine schedules shard scans onto its lanes (see the
-/// [module docs](self)).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScanScheduler {
-    /// Whole shards dealt round-robin onto lanes — one lane sweeps a shard end
-    /// to end. Predictable, but an oversharded store serializes its surplus
-    /// shards behind busy lanes, and a single-shard store can never use more
-    /// than one lane.
-    Static,
-    /// Chunk-range work units on per-lane deques with tail stealing (the
-    /// default): load-balances across lanes at [`SearchEngine::steal_granularity`]
-    /// granularity while producing byte-identical results. Falls back to
-    /// [`ScanScheduler::Static`] for stores without a scan plane.
-    #[default]
-    WorkStealing,
-}
 
 /// Default chunks per work unit: 8 × [`crate::scanplane::CHUNK`] = 8192
 /// documents — a few tens of microseconds of sweeping, coarse enough that
 /// deque traffic is noise yet fine enough to balance shards across lanes.
 const DEFAULT_STEAL_GRANULARITY: usize = 8;
 
-/// One work unit of the stealing scheduler: a chunk range of one selected
-/// shard's plane. `pos` indexes the *selection* (result slot), not the store.
+/// The chunk range of a shard that is not split into smaller units: the
+/// plane's chunk-range scans clamp it to the plane's grid.
+const WHOLE_PLANE: std::ops::Range<usize> = 0..usize::MAX;
+
+/// One work unit of the executor: a chunk range of one selected shard's plane.
+/// `pos` indexes the *selection* (result slot), not the store.
 struct ChunkUnit {
     pos: usize,
     shard: usize,
     chunks: std::ops::Range<usize>,
+}
+
+/// Run `scan` on behalf of `shard`, re-raising any panic with the shard named —
+/// the context a scan panic carries before it crosses the pool boundary.
+fn in_shard<T>(shard: usize, scan: impl FnOnce() -> T) -> T {
+    match catch_unwind(AssertUnwindSafe(scan)) {
+        Ok(value) => value,
+        Err(payload) => {
+            let message = pool::panic_message(payload.as_ref());
+            resume_unwind(Box::new(format!("shard {shard}: {message}")));
+        }
+    }
 }
 
 /// A pluggable, shard-parallel search engine over an [`IndexStore`].
@@ -136,7 +136,6 @@ pub struct SearchEngine<S: IndexStore> {
     /// Scan lanes (pool workers + the calling thread). Always `1..=cores`;
     /// `pool` is `Some` iff `lanes > 1`.
     lanes: usize,
-    scheduler: ScanScheduler,
     /// Chunks per work-stealing unit (≥ 1).
     steal_granularity: usize,
     /// The optional per-shard result cache. Interior mutability because searches
@@ -153,7 +152,6 @@ impl<S: IndexStore + Clone> Clone for SearchEngine<S> {
     fn clone(&self) -> Self {
         let mut engine = SearchEngine::new(self.store.clone());
         engine.set_scan_lanes(self.lanes);
-        engine.scheduler = self.scheduler;
         engine.steal_granularity = self.steal_granularity;
         // The clone keeps the cache *configuration* but starts with an empty
         // cache: entries are cheap to recompute and a fresh engine should not
@@ -203,7 +201,6 @@ impl<S: IndexStore> SearchEngine<S> {
             store,
             pool: None,
             lanes: 1,
-            scheduler: ScanScheduler::default(),
             steal_granularity: DEFAULT_STEAL_GRANULARITY,
             cache: None,
             telemetry: Telemetry::new(),
@@ -273,23 +270,6 @@ impl<S: IndexStore> SearchEngine<S> {
                 .set_gauge(Gauge::CacheEntries, cache.lock().unwrap().len() as u64);
         }
         self.telemetry.snapshot()
-    }
-
-    /// Builder-style [`SearchEngine::set_scan_scheduler`].
-    pub fn with_scan_scheduler(mut self, scheduler: ScanScheduler) -> Self {
-        self.set_scan_scheduler(scheduler);
-        self
-    }
-
-    /// Select how shard scans are scheduled onto lanes (see [`ScanScheduler`]).
-    /// Replies are byte-identical under either scheduler.
-    pub fn set_scan_scheduler(&mut self, scheduler: ScanScheduler) {
-        self.scheduler = scheduler;
-    }
-
-    /// The active scan scheduler.
-    pub fn scan_scheduler(&self) -> ScanScheduler {
-        self.scheduler
     }
 
     /// Builder-style [`SearchEngine::set_steal_granularity`].
@@ -459,115 +439,67 @@ impl<S: IndexStore> SearchEngine<S> {
         self.store.document_index(document_id)
     }
 
-    /// Run `scan(pos, shard)` once per selected shard — inline when there is no
-    /// pool or a single shard is selected, statically dealt round-robin over the
-    /// persistent worker pool otherwise (`pos` is the index into `shard_ids`).
-    /// Results come back aligned with `shard_ids`. A panicking scan is re-raised
-    /// with the failing shard named, and the pool adds the failing lane (job)
-    /// index.
-    fn map_selected_shards<T, F>(&self, shard_ids: &[usize], scan: F) -> Vec<T>
+    /// Carve the selected shards' planes into work units, in selection order
+    /// with ascending ranges (= slot order within each shard). With `split` and
+    /// more than one lane, each shard becomes `steal_granularity`-chunk ranges
+    /// (an empty plane yields none); otherwise each shard is one
+    /// [`WHOLE_PLANE`] unit — with nobody to steal from, splitting buys nothing
+    /// and costs per-range setup.
+    fn units(&self, shard_ids: &[usize], split: bool) -> Vec<ChunkUnit> {
+        let split = split && self.pool.is_some();
+        let mut units = Vec::new();
+        for (pos, &shard) in shard_ids.iter().enumerate() {
+            if !split {
+                units.push(ChunkUnit {
+                    pos,
+                    shard,
+                    chunks: WHOLE_PLANE,
+                });
+                continue;
+            }
+            let chunks = in_shard(shard, || self.store.scan_plane(shard).num_chunks());
+            let mut lo = 0;
+            while lo < chunks {
+                let hi = (lo + self.steal_granularity).min(chunks);
+                units.push(ChunkUnit {
+                    pos,
+                    shard,
+                    chunks: lo..hi,
+                });
+                lo = hi;
+            }
+        }
+        units
+    }
+
+    /// The engine's one executor: run `scan(unit)` for every unit. Units are
+    /// dealt contiguously onto the lanes' deques, each lane drains its own deal
+    /// head-first and then steals from other lanes' tails, and every unit's
+    /// result lands in its own slot — so the returned vector is in unit order
+    /// regardless of which lane ran what. Runs inline (in unit order) with one
+    /// lane or one unit. Each unit is timed as a [`Stage::UnitScan`] span, and
+    /// a panicking unit is re-raised with its shard named (the pool adds the
+    /// failing lane's job index).
+    fn run_units<T, F>(&self, units: &[ChunkUnit], scan: F) -> Vec<T>
     where
         T: Send,
-        F: Fn(usize, usize) -> T + Sync,
+        F: Fn(&ChunkUnit) -> T + Sync,
     {
-        // The static path's unit is a whole shard: time it like the stealing
-        // path times its chunk ranges, so single-lane hosts still populate the
-        // unit-scan histogram. The gate is captured once; `Instant::now` runs
-        // on whatever lane executes the unit.
+        // Capture the span gate once per execution: `Instant::now` inside the
+        // unit closure runs on worker lanes, so the drop-guard `Telemetry::span`
+        // (which borrows `&self`) is replaced by an explicit timed pair here.
         let time_units = self.telemetry.level().spans_enabled();
-        // Name the shard in any scan panic before it crosses the pool boundary.
-        let scan_named = |pos: usize, shard: usize| -> T {
+        let run = |u: usize| {
+            let unit = &units[u];
             let started = time_units.then(Instant::now);
-            let value = match catch_unwind(AssertUnwindSafe(|| scan(pos, shard))) {
-                Ok(value) => value,
-                Err(payload) => {
-                    let message = pool::panic_message(payload.as_ref());
-                    resume_unwind(Box::new(format!("shard {shard}: {message}")));
-                }
-            };
+            let value = in_shard(unit.shard, || scan(unit));
             if let Some(started) = started {
                 let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 self.telemetry.record_duration(Stage::UnitScan, ns);
             }
             value
         };
-        let selected = shard_ids.len();
-        let inline = |(pos, &shard): (usize, &usize)| scan_named(pos, shard);
-        if self.pool.is_none() || selected <= 1 {
-            let out: Vec<T> = shard_ids.iter().enumerate().map(inline).collect();
-            if selected > 0 {
-                self.telemetry.record_lane(
-                    0,
-                    &LaneStats {
-                        executed: selected as u64,
-                        ..LaneStats::default()
-                    },
-                );
-            }
-            return out;
-        }
-        let pool = self.pool.as_ref().expect("checked above");
-        let lanes = (pool.workers() + 1).min(selected);
-        let mut lane_results: Vec<Vec<(usize, T)>> = (0..lanes).map(|_| Vec::new()).collect();
-        {
-            let (scan_named, telemetry) = (&scan_named, &self.telemetry);
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = lane_results
-                .iter_mut()
-                .enumerate()
-                .map(|(lane, out)| {
-                    Box::new(move || {
-                        let mut executed = 0u64;
-                        let mut pos = lane;
-                        while pos < selected {
-                            out.push((pos, scan_named(pos, shard_ids[pos])));
-                            executed += 1;
-                            pos += lanes;
-                        }
-                        // The static deal is round-robin: no steals, no idle
-                        // polls, just the lane's own share.
-                        telemetry.record_lane(
-                            lane,
-                            &LaneStats {
-                                executed,
-                                ..LaneStats::default()
-                            },
-                        );
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_scoped(jobs);
-        }
-        let mut results: Vec<Option<T>> = (0..selected).map(|_| None).collect();
-        for (pos, value) in lane_results.into_iter().flatten() {
-            results[pos] = Some(value);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every selected shard was scanned"))
-            .collect()
-    }
-
-    /// Run `scan(shard)` once per shard. Results come back in shard order.
-    fn map_shards<T, F>(&self, scan: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let all: Vec<usize> = (0..self.store.num_shards()).collect();
-        self.map_selected_shards(&all, |_, shard| scan(shard))
-    }
-
-    /// Execute `run(unit)` for units `0..total` on the work-stealing scheduler:
-    /// units are dealt contiguously onto the lanes' deques, each lane drains its
-    /// own deal head-first and then steals from other lanes' tails, and every
-    /// unit's result lands in its own slot — so the returned vector is in unit
-    /// order regardless of which lane ran what. Runs inline (in unit order) with
-    /// one lane or one unit.
-    fn run_units<T, F>(&self, total: usize, run: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
+        let total = units.len();
         let lanes = match &self.pool {
             Some(pool) => (pool.workers() + 1).min(total),
             None => 1,
@@ -620,62 +552,25 @@ impl<S: IndexStore> SearchEngine<S> {
             .collect()
     }
 
-    /// Carve the selected shards' planes into chunk-range work units, in
-    /// selection order with ascending ranges (= slot order within each shard).
-    /// `None` if any selected shard has no plane — the caller falls back to the
-    /// static whole-shard schedule, whose scan seam handles plane-less stores.
-    fn chunk_units(&self, shard_ids: &[usize]) -> Option<Vec<ChunkUnit>> {
-        let granularity = self.steal_granularity.max(1);
-        let mut units = Vec::new();
-        for (pos, &shard) in shard_ids.iter().enumerate() {
-            let chunks = self.store.scan_plane(shard)?.num_chunks();
-            let mut lo = 0;
-            while lo < chunks {
-                let hi = (lo + granularity).min(chunks);
-                units.push(ChunkUnit {
-                    pos,
-                    shard,
-                    chunks: lo..hi,
-                });
-                lo = hi;
-            }
-        }
-        Some(units)
-    }
-
-    /// Scan the selected shards' units on the stealing scheduler and stitch the
-    /// per-unit results back into per-shard rows aligned with `subsets`: within
-    /// a shard, unit results concatenate in chunk (slot) order and stats sum —
-    /// byte-identical to one whole-shard scan per selected shard. A shard with
-    /// no units (an empty plane) yields the whole-shard scan's empty result.
-    fn scan_units(&self, subsets: &[Vec<&QueryIndex>], units: &[ChunkUnit]) -> Vec<Vec<ShardScan>> {
-        // Capture the span gate once per execution: `Instant::now` inside the
-        // unit closure runs on worker lanes, so the drop-guard `Telemetry::span`
-        // (which borrows `&self`) is replaced by an explicit timed pair here.
-        let time_units = self.telemetry.level().spans_enabled();
-        let unit_scans = self.run_units(units.len(), |u| {
-            let unit = &units[u];
-            let started = time_units.then(Instant::now);
-            // Name the shard in any scan panic, like the static path does.
-            let scans = match catch_unwind(AssertUnwindSafe(|| {
-                let plane = self
-                    .store
-                    .scan_plane(unit.shard)
-                    .expect("units are only built from planes");
-                let bits: Vec<&BitIndex> = subsets[unit.pos].iter().map(|q| q.bits()).collect();
-                plane.scan_ranked_batch_chunks(&bits, unit.chunks.clone())
-            })) {
-                Ok(scans) => scans,
-                Err(payload) => {
-                    let message = pool::panic_message(payload.as_ref());
-                    resume_unwind(Box::new(format!("shard {}: {message}", unit.shard)));
-                }
-            };
-            if let Some(started) = started {
-                let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.telemetry.record_duration(Stage::UnitScan, ns);
-            }
-            scans
+    /// The ranked scan of every execution: scan each selected shard for its
+    /// query subset (`subsets[pos]` belongs to `shard_ids[pos]`) in one fused
+    /// plane pass per unit, and stitch the unit results back into per-shard
+    /// rows aligned with each subset: within a shard, unit results concatenate
+    /// in chunk (slot) order and stats sum — byte-identical to one whole-shard
+    /// scan per selected shard. A shard with no units (an empty plane) yields
+    /// the whole-shard scan's empty result.
+    fn scan_selected_shards(
+        &self,
+        shard_ids: &[usize],
+        subsets: &[Vec<&QueryIndex>],
+    ) -> Vec<Vec<ShardScan>> {
+        debug_assert_eq!(shard_ids.len(), subsets.len());
+        let units = self.units(shard_ids, true);
+        let unit_scans = self.run_units(&units, |unit| {
+            let bits: Vec<&BitIndex> = subsets[unit.pos].iter().map(|q| q.bits()).collect();
+            self.store
+                .scan_plane(unit.shard)
+                .scan_ranked_batch_chunks(&bits, unit.chunks.clone())
         });
         let mut out: Vec<Vec<ShardScan>> = subsets
             .iter()
@@ -690,90 +585,6 @@ impl<S: IndexStore> SearchEngine<S> {
             }
         }
         out
-    }
-
-    /// The scheduling seam of every ranked execution: scan each selected shard
-    /// for its query subset (`subsets[pos]` belongs to `shard_ids[pos]`),
-    /// returning per-shard rows aligned with `queries` order within each subset.
-    /// Work-stealing over chunk units when the scheduler (and every selected
-    /// shard's plane) allows; the static whole-shard fan-out otherwise. Both
-    /// produce byte-identical rows.
-    ///
-    /// A single effective lane short-circuits to the static path even under
-    /// `WorkStealing`: with nobody to steal from, splitting shards into units
-    /// buys nothing and costs per-range setup (active-block lists, result
-    /// buffers), so one lane scans whole shards — still byte-identical, just
-    /// without the dispatch overhead.
-    fn scan_selected_shards(
-        &self,
-        shard_ids: &[usize],
-        subsets: &[Vec<&QueryIndex>],
-    ) -> Vec<Vec<ShardScan>> {
-        debug_assert_eq!(shard_ids.len(), subsets.len());
-        if self.scheduler == ScanScheduler::WorkStealing && self.pool.is_some() {
-            if let Some(units) = self.chunk_units(shard_ids) {
-                return self.scan_units(subsets, &units);
-            }
-        }
-        self.map_selected_shards(shard_ids, |pos, shard| {
-            self.scan_shard_batch(shard, &subsets[pos])
-        })
-    }
-
-    /// Single-query form of [`SearchEngine::scan_selected_shards`]: one
-    /// [`ShardScan`] per selected shard.
-    fn scan_selected_shards_single(
-        &self,
-        shard_ids: &[usize],
-        query: &QueryIndex,
-    ) -> Vec<ShardScan> {
-        if self.scheduler == ScanScheduler::WorkStealing && self.pool.is_some() {
-            if let Some(units) = self.chunk_units(shard_ids) {
-                let subsets: Vec<Vec<&QueryIndex>> =
-                    shard_ids.iter().map(|_| vec![query]).collect();
-                return self
-                    .scan_units(&subsets, &units)
-                    .into_iter()
-                    .map(|mut row| row.pop().expect("one query per selected shard"))
-                    .collect();
-            }
-        }
-        self.map_selected_shards(shard_ids, |_, shard| self.scan_shard(shard, query))
-    }
-
-    /// One shard's ranked scan — **the** seam the layout optimization plugs into.
-    /// Stores that maintain a block-major [`crate::scanplane::ScanPlane`] (both
-    /// built-in stores do) are swept through it: contiguous, query-pruned,
-    /// vectorizer-friendly columns instead of per-document pointer chasing.
-    /// Stores without a plane fall back to the reference AoS loop. Either way the
-    /// output is bit-for-bit what [`scan_ranked`] returns — same matches, same
-    /// scan order, same [`SearchStats`] (the equivalence suite and
-    /// `mkse-core/tests/scanplane_equivalence.rs` hold both paths to it).
-    fn scan_shard(&self, shard: usize, query: &QueryIndex) -> ShardScan {
-        match self.store.scan_plane(shard) {
-            Some(plane) => plane.scan_ranked(query.bits()),
-            None => scan_ranked(self.store.shard_documents(shard), query),
-        }
-    }
-
-    /// One shard's **fused** ranked scan of a whole query set — the batch
-    /// counterpart of [`SearchEngine::scan_shard`]. Plane-backed stores stream
-    /// the shard's arena once for all queries
-    /// ([`crate::scanplane::ScanPlane::scan_ranked_batch`]); stores without a
-    /// plane fall back to one reference scan per query. Results are aligned with
-    /// `queries` and byte-identical to per-query [`SearchEngine::scan_shard`]
-    /// calls.
-    fn scan_shard_batch(&self, shard: usize, queries: &[&QueryIndex]) -> Vec<ShardScan> {
-        match self.store.scan_plane(shard) {
-            Some(plane) => {
-                let bits: Vec<&BitIndex> = queries.iter().map(|q| q.bits()).collect();
-                plane.scan_ranked_batch(&bits)
-            }
-            None => queries
-                .iter()
-                .map(|q| scan_ranked(self.store.shard_documents(shard), q))
-                .collect(),
-        }
     }
 
     /// Number of parallel scan lanes this engine fans out to: persistent pool
@@ -796,23 +607,17 @@ impl<S: IndexStore> SearchEngine<S> {
         T: Send,
         F: Fn(&'s RankedDocumentIndex) -> T + Sync,
     {
-        let per_shard = self.map_shards(|shard| {
-            let docs = self.store.shard_documents(shard);
-            // The plane answers "which slots match" with a pruned column sweep;
-            // the extraction still reads the authoritative AoS documents.
-            match self.store.scan_plane(shard) {
-                Some(plane) => plane
-                    .matching_slots(query.bits())
-                    .into_iter()
-                    .map(|slot| (self.store.ordinal(shard, slot), extract(&docs[slot])))
-                    .collect::<Vec<_>>(),
-                None => docs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, d)| d.base_level().matches_query(query.bits()))
-                    .map(|(slot, d)| (self.store.ordinal(shard, slot), extract(d)))
-                    .collect::<Vec<_>>(),
-            }
+        let all: Vec<usize> = (0..self.store.num_shards()).collect();
+        // The plane answers "which slots match" with a pruned column sweep;
+        // the extraction still reads the authoritative AoS documents.
+        let per_shard = self.run_units(&self.units(&all, false), |unit| {
+            let docs = self.store.shard_documents(unit.shard);
+            self.store
+                .scan_plane(unit.shard)
+                .matching_slots(query.bits())
+                .into_iter()
+                .map(|slot| (self.store.ordinal(unit.shard, slot), extract(&docs[slot])))
+                .collect::<Vec<_>>()
         });
         let mut merged: Vec<(u64, T)> = per_shard.into_iter().flatten().collect();
         merged.sort_unstable_by_key(|(ordinal, _)| *ordinal);
@@ -848,63 +653,9 @@ impl<S: IndexStore> SearchEngine<S> {
     ) -> (Vec<SearchMatch>, SearchStats, CacheEffect) {
         self.telemetry.add(Counter::Queries, 1);
         let _query_span = self.telemetry.span(Stage::EngineQuery);
-        let shards = self.store.num_shards();
-        let all: Vec<usize> = (0..shards).collect();
-        let Some(cache_mutex) = &self.cache else {
-            self.telemetry.add(Counter::ShardScans, shards as u64);
-            let per_shard = self.scan_selected_shards_single(&all, query);
-            return Self::merge_ranked(per_shard, CacheEffect::default());
-        };
-
-        let fingerprint = Self::ranked_fingerprint(query);
-        let mut per_shard: Vec<Option<ShardScan>> = Vec::with_capacity(shards);
-        let mut generations: Vec<u64> = Vec::with_capacity(shards);
-        {
-            let _lookup_span = self.telemetry.span(Stage::CacheLookup);
-            let mut cache = cache_mutex.lock().unwrap();
-            for shard in 0..shards {
-                generations.push(cache.generation(shard));
-                let found = cache.lookup(shard, &fingerprint);
-                self.telemetry.record_cache_lookup(shard, found.is_some());
-                per_shard.push(found);
-            }
-        }
-        let missing: Vec<usize> = per_shard
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_none())
-            .map(|(shard, _)| shard)
-            .collect();
-        let effect = CacheEffect {
-            shard_hits: (shards - missing.len()) as u64,
-            shard_misses: missing.len() as u64,
-            saved_comparisons: per_shard
-                .iter()
-                .flatten()
-                .map(|(_, stats)| stats.comparisons)
-                .sum(),
-        };
-        if !missing.is_empty() {
-            self.telemetry
-                .add(Counter::ShardScans, missing.len() as u64);
-            let fresh = self.scan_selected_shards_single(&missing, query);
-            let _admit_span = self.telemetry.span(Stage::CacheAdmit);
-            let mut cache = cache_mutex.lock().unwrap();
-            for (&shard, (matches, stats)) in missing.iter().zip(fresh) {
-                cache.admit(
-                    shard,
-                    fingerprint.clone(),
-                    matches.clone(),
-                    stats,
-                    generations[shard],
-                );
-                per_shard[shard] = Some((matches, stats));
-            }
-        }
-        Self::merge_ranked(
-            per_shard.into_iter().map(|r| r.expect("shard resolved")),
-            effect,
-        )
+        self.search_ranked_batch(std::slice::from_ref(query))
+            .pop()
+            .expect("one reply per query")
     }
 
     /// The single merge point for ranked execution: extend in shard order, sum the
@@ -939,7 +690,7 @@ impl<S: IndexStore> SearchEngine<S> {
     }
 
     /// Execute many queries in one pass: each shard is scanned once for the whole
-    /// batch, and per-query results are merged exactly as in the single-query path.
+    /// batch, through the same ranked body as a single query.
     pub fn search_batch_with_stats(
         &self,
         queries: &[QueryIndex],
@@ -955,8 +706,9 @@ impl<S: IndexStore> SearchEngine<S> {
     /// Execution is **fused and deduplicated**: queries carrying identical
     /// [`QueryFingerprint`]s are scanned once (the first occurrence is the
     /// representative; every duplicate position receives a copy of its reply),
-    /// and each shard worker receives its whole remaining query set in one
-    /// fused [`crate::scanplane::ScanPlane::scan_ranked_batch`] pass — the
+    /// and each of a shard's work units receives the shard's whole remaining
+    /// query set in one fused
+    /// [`crate::scanplane::ScanPlane::scan_ranked_batch_chunks`] pass — the
     /// shard's arena crosses the memory bus once per batch, not once per query.
     /// With the cache enabled, each shard scans exactly the unique queries that
     /// missed it (fully cached queries trigger no scan at all), and duplicates
@@ -987,6 +739,18 @@ impl<S: IndexStore> SearchEngine<S> {
         self.telemetry
             .add(Counter::BatchQueries, queries.len() as u64);
         let _batch_span = self.telemetry.span(Stage::EngineBatch);
+        self.search_ranked_batch(queries)
+    }
+
+    /// The one ranked body behind both public entry points (a single query is
+    /// a batch of one): intra-batch dedup, phased cache lookups, one fused scan
+    /// per unit, admissions in batch order, and the merge. See
+    /// [`SearchEngine::search_batch_with_effects`] for the cache semantics.
+    /// Records no query/batch counters — its callers own those.
+    fn search_ranked_batch(
+        &self,
+        queries: &[QueryIndex],
+    ) -> Vec<(Vec<SearchMatch>, SearchStats, CacheEffect)> {
         let shards = self.store.num_shards();
         let fingerprints: Vec<QueryFingerprint> =
             queries.iter().map(Self::ranked_fingerprint).collect();
@@ -1220,6 +984,7 @@ mod tests {
     use crate::document_index::DocumentIndexer;
     use crate::keys::SchemeKeys;
     use crate::query::QueryBuilder;
+    use crate::scanplane::ScanPlane;
     use crate::search::CloudIndex;
     use mkse_textproc::document::TermFrequencies;
     use rand::rngs::StdRng;
@@ -1462,18 +1227,15 @@ mod tests {
             engine.set_scan_lanes(request);
             assert_eq!(engine.scan_lanes(), request.clamp(1, cores));
         }
-        // The builder form composes with the other scheduler knobs, and the
-        // knobs survive a clone.
+        // The builder form composes with the granularity knob, and both knobs
+        // survive a clone.
         let engine = SearchEngine::sharded(fx.params.clone(), 2)
             .with_scan_lanes(1)
-            .with_scan_scheduler(ScanScheduler::Static)
             .with_steal_granularity(0);
         assert_eq!(engine.scan_lanes(), 1);
-        assert_eq!(engine.scan_scheduler(), ScanScheduler::Static);
         assert_eq!(engine.steal_granularity(), 1, "granularity clamps to >= 1");
         let clone = engine.clone();
         assert_eq!(clone.scan_lanes(), 1);
-        assert_eq!(clone.scan_scheduler(), ScanScheduler::Static);
         assert_eq!(clone.steal_granularity(), 1);
     }
 
@@ -1498,17 +1260,15 @@ mod tests {
     /// Force a multi-lane pool regardless of the host's core count (the struct
     /// literal bypasses `set_scan_lanes`' clamp) so genuine concurrent stealing
     /// runs even on single-core CI hosts.
-    fn forced_lane_engine(
-        store: ShardedStore,
+    fn forced_lane_engine<S: IndexStore>(
+        store: S,
         lanes: usize,
-        scheduler: ScanScheduler,
         granularity: usize,
-    ) -> SearchEngine<ShardedStore> {
+    ) -> SearchEngine<S> {
         SearchEngine {
             store,
             pool: (lanes > 1).then(|| WorkerPool::new(lanes - 1)),
             lanes,
-            scheduler,
             steal_granularity: granularity.max(1),
             cache: None,
             telemetry: Telemetry::new(),
@@ -1536,17 +1296,15 @@ mod tests {
             crate::bitindex::BitIndex::from_bits(&bits)
         };
         let mut store = ShardedStore::new(params.clone(), 3);
+        let mut reference = CloudIndex::new(params.clone());
         for id in 0..(3 * (2 * CHUNK + 100)) as u64 {
-            store
-                .insert(RankedDocumentIndex {
-                    document_id: id,
-                    levels: vec![next_bits(64), next_bits(64)],
-                })
-                .unwrap();
+            let index = RankedDocumentIndex {
+                document_id: id,
+                levels: vec![next_bits(64), next_bits(64)],
+            };
+            reference.insert(index.clone()).unwrap();
+            store.insert(index).unwrap();
         }
-        let reference = SearchEngine::new(store.clone())
-            .with_scan_lanes(1)
-            .with_scan_scheduler(ScanScheduler::Static);
         let queries: Vec<QueryIndex> = (0..5)
             .map(|_| QueryIndex::from_bits(next_bits(64)))
             .collect();
@@ -1554,7 +1312,6 @@ mod tests {
             .iter()
             .map(|q| reference.search_ranked_with_stats(q))
             .collect();
-        let expected_batch = reference.search_batch_with_stats(&queries);
         // Aggregated across every forced work-stealing config below: the lanes
         // must record genuine steals (satellite: the deques are no longer
         // opaque), and recording them must not perturb a single reply byte.
@@ -1562,12 +1319,7 @@ mod tests {
         let mut total_executed = 0u64;
         for lanes in [2usize, 3] {
             for granularity in [1usize, 2, 64] {
-                let engine = forced_lane_engine(
-                    store.clone(),
-                    lanes,
-                    ScanScheduler::WorkStealing,
-                    granularity,
-                );
+                let engine = forced_lane_engine(store.clone(), lanes, granularity);
                 engine.set_telemetry_level(TelemetryLevel::Counters);
                 for (q, want) in queries.iter().zip(&expected) {
                     assert_eq!(
@@ -1578,17 +1330,27 @@ mod tests {
                 }
                 assert_eq!(
                     engine.search_batch_with_stats(&queries),
-                    expected_batch,
+                    expected,
                     "fused batch, lanes={lanes} g={granularity}"
                 );
                 let snap = engine.metrics_snapshot();
                 total_steals += snap.total_steals();
                 total_executed += snap.lanes.iter().map(|l| l.executed).sum::<u64>();
             }
-            // The static scheduler on the same forced pool agrees too.
-            let engine = forced_lane_engine(store.clone(), lanes, ScanScheduler::Static, 8);
-            for (q, want) in queries.iter().zip(&expected) {
-                assert_eq!(&engine.search_ranked_with_stats(q), want, "static {lanes}");
+            // Whole-shard units (unranked and metadata scans) on the same
+            // forced pool agree too.
+            let engine = forced_lane_engine(store.clone(), lanes, 8);
+            for q in &queries {
+                assert_eq!(
+                    engine.search_unranked(q),
+                    reference.search_unranked(q),
+                    "unranked, lanes={lanes}"
+                );
+                assert_eq!(
+                    engine.matching_metadata(q),
+                    reference.matching_metadata(q),
+                    "metadata, lanes={lanes}"
+                );
             }
         }
         // Every unit execution is accounted, and at least one lane stole: the
@@ -1812,7 +1574,7 @@ mod tests {
     }
 
     /// A store whose shard 2 cannot be scanned — exercises the panic-context
-    /// propagation through the worker pool.
+    /// propagation through the executor, inline and across the worker pool.
     struct PoisonedStore {
         inner: ShardedStore,
     }
@@ -1831,7 +1593,6 @@ mod tests {
             self.inner.num_shards()
         }
         fn shard_documents(&self, shard: usize) -> &[RankedDocumentIndex] {
-            assert_ne!(shard, 2, "shard storage corrupted");
             self.inner.shard_documents(shard)
         }
         fn ordinal(&self, shard: usize, slot: usize) -> u64 {
@@ -1843,31 +1604,103 @@ mod tests {
         fn shard_of(&self, document_id: u64) -> Option<usize> {
             self.inner.shard_of(document_id)
         }
+        fn scan_plane(&self, shard: usize) -> &ScanPlane {
+            assert_ne!(shard, 2, "shard storage corrupted");
+            self.inner.scan_plane(shard)
+        }
     }
 
     #[test]
     fn scan_panic_names_the_failing_shard() {
         let mut fx = fixture();
-        let mut store = PoisonedStore {
-            inner: ShardedStore::new(fx.params.clone(), 4),
-        };
-        store.insert_all(corpus_indices(&fx, 16)).unwrap();
-        let engine = SearchEngine::new(store);
         let q = query(&mut fx, &["shared"]);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| engine.search(&q)));
-        let payload = result.expect_err("poisoned shard must panic");
-        let message = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-            .expect("string panic payload");
-        assert!(
-            message.contains("shard 2"),
-            "panic must name the failing shard: {message}"
-        );
-        assert!(
-            message.contains("shard storage corrupted"),
-            "panic must forward the original message: {message}"
-        );
+        let batch = vec![q.clone(), query(&mut fx, &["kw3"])];
+        for lanes in [1usize, 2] {
+            let mut store = PoisonedStore {
+                inner: ShardedStore::new(fx.params.clone(), 4),
+            };
+            store.insert_all(corpus_indices(&fx, 16)).unwrap();
+            let engine = forced_lane_engine(store, lanes, 1);
+            let scans: [(&str, &dyn Fn()); 3] = [
+                ("ranked single", &|| drop(engine.search(&q))),
+                ("fused batch", &|| drop(engine.search_batch(&batch))),
+                ("unranked", &|| drop(engine.search_unranked(&q))),
+            ];
+            for (path, scan) in scans {
+                let result = std::panic::catch_unwind(AssertUnwindSafe(scan));
+                let payload = result.expect_err("poisoned shard must panic");
+                let message = pool::panic_message(payload.as_ref());
+                assert!(
+                    message.contains("shard 2"),
+                    "{path}, lanes={lanes}: panic must name the failing shard: {message}"
+                );
+                assert!(
+                    message.contains("shard storage corrupted"),
+                    "{path}, lanes={lanes}: panic must forward the original message: {message}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ranked_body_keeps_the_query_batch_and_shard_scan_counters() {
+        // Both public entry points share one ranked body; the counters each
+        // records are part of the telemetry contract. 4 shards, 3 distinct
+        // queries plus a duplicate.
+        let mut fx = fixture();
+        let indices = corpus_indices(&fx, 24);
+        let q_a = query(&mut fx, &["shared"]);
+        let q_b = query(&mut fx, &["kw3"]);
+        let q_c = query(&mut fx, &["kw5"]);
+        let batch = vec![q_a.clone(), q_b.clone(), q_a.clone(), q_c.clone()];
+        let counters = |engine: &SearchEngine<ShardedStore>| {
+            let snap = engine.metrics_snapshot();
+            [
+                snap.counter("queries"),
+                snap.counter("batches"),
+                snap.counter("batch_queries"),
+                snap.counter("shard_scans"),
+            ]
+        };
+        for cached in [false, true] {
+            let mut engine = SearchEngine::sharded(fx.params.clone(), 4)
+                .with_telemetry_level(TelemetryLevel::Counters);
+            if cached {
+                engine.enable_cache(CacheConfig::default());
+            }
+            engine.insert_all(indices.iter().cloned()).unwrap();
+            let ctx = format!("cached={cached}");
+
+            // One single query: queries +1, no batch, every shard scanned.
+            let _ = engine.search_ranked_with_effect(&q_a);
+            assert_eq!(counters(&engine), [1, 0, 0, 4], "cold single, {ctx}");
+            // Repeated: served from the cache when it is on.
+            let _ = engine.search_ranked_with_effect(&q_a);
+            let rescans = if cached { 0 } else { 4 };
+            assert_eq!(
+                counters(&engine),
+                [2, 0, 0, 4 + rescans],
+                "warm single, {ctx}"
+            );
+            // A batch of 4: batches +1, batch_queries +4, queries unchanged.
+            // Uncached, each shard is scanned once for the whole batch;
+            // cached, q_a is warm but q_b and q_c still miss every shard.
+            let _ = engine.search_batch_with_effects(&batch);
+            assert_eq!(
+                counters(&engine),
+                [2, 1, 4, 4 + rescans + 4],
+                "cold batch, {ctx}"
+            );
+            // The same batch again: fully cached when the cache is on.
+            let _ = engine.search_batch_with_effects(&batch);
+            assert_eq!(
+                counters(&engine),
+                [2, 2, 8, 4 + rescans + 4 + rescans],
+                "warm batch, {ctx}"
+            );
+            // An empty batch records nothing.
+            assert!(engine.search_batch_with_effects(&[]).is_empty());
+            assert_eq!(counters(&engine)[1], 2, "empty batch, {ctx}");
+        }
     }
 }

@@ -15,13 +15,14 @@
 //! crate's architecture notes): the [`storage`] module holds the [`storage::IndexStore`]
 //! abstraction with single-shard ([`storage::VecStore`]) and round-robin sharded
 //! ([`storage::ShardedStore`]) layouts, and the [`engine`] module executes single,
-//! batched and top-k ranked queries across shards in parallel with results that are
-//! bit-for-bit identical to the sequential [`search::CloudIndex`] reference scan.
-//! Each shard's hot loop runs on the [`scanplane`] module's block-major
-//! [`scanplane::ScanPlane`] — a bit-sliced contiguous arena the stores maintain on
-//! insert, swept column-by-column with query-aware block pruning (blocks where the
-//! query is all-ones can reject nothing and are skipped for the whole shard) —
-//! while the AoS documents remain the authoritative copy and the reference scan.
+//! batched and top-k ranked queries — one ranked body, one work-stealing executor —
+//! across shards in parallel with results that are bit-for-bit identical to the
+//! sequential [`search::CloudIndex`] reference scan. Every engine scan runs on the
+//! [`scanplane`] module's block-major [`scanplane::ScanPlane`] — a bit-sliced
+//! contiguous arena every store maintains on insert, swept column-by-column with
+//! query-aware block pruning (blocks where the query is all-ones can reject nothing
+//! and are skipped for the whole shard) — while the AoS documents remain the
+//! authoritative copy and the reference scan.
 //! The [`cache`] module adds an optional per-shard, generation-invalidated result
 //! cache on top: repeated query indices (the search pattern the server observes
 //! anyway, §6) skip the shard scan entirely without changing a single reply byte.
@@ -94,7 +95,7 @@ pub use bins::{bins_for_keywords, get_bin, BinId, BinOccupancy};
 pub use bitindex::BitIndex;
 pub use cache::{CacheConfig, CacheEffect, CacheStats, QueryFingerprint, RankingMode, ResultCache};
 pub use document_index::{DocumentIndexer, RankedDocumentIndex};
-pub use engine::{ScanScheduler, SearchEngine};
+pub use engine::SearchEngine;
 pub use keys::{trapdoor_from_bin_key, RandomKeywordPool, SchemeKeys, Trapdoor};
 pub use keyword::keyword_index;
 pub use params::{ParamError, SystemParams};

@@ -368,7 +368,7 @@ mod tests {
         let mut restored = ShardedStore::new(params.clone(), 4);
         assert_eq!(deserialize_into(&mut restored, &bytes).unwrap(), 9);
         for shard in 0..restored.num_shards() {
-            let plane = restored.scan_plane(shard).expect("plane maintained");
+            let plane = restored.scan_plane(shard);
             let docs = restored.shard_documents(shard);
             assert_eq!(plane.len(), docs.len(), "shard {shard}");
             let ids: Vec<u64> = docs.iter().map(|d| d.document_id).collect();

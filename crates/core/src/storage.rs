@@ -16,10 +16,10 @@
 //! and persisted snapshots keep the exact storage order of the sequential reference
 //! regardless of the physical layout.
 //!
-//! Both built-in stores additionally maintain one block-major
-//! [`crate::scanplane::ScanPlane`] per shard — a bit-sliced mirror of the shard's
-//! indices appended inside [`IndexStore::insert`], exposed through
-//! [`IndexStore::scan_plane`]. Because *every* mutation path (uploads, `insert_all`,
+//! Every store also maintains one block-major [`crate::scanplane::ScanPlane`] per
+//! shard — a bit-sliced mirror of the shard's indices appended inside
+//! [`IndexStore::insert`], exposed through [`IndexStore::scan_plane`] — and the
+//! engine scans only planes. Because *every* mutation path (uploads, `insert_all`,
 //! snapshot restores) funnels through `insert`, a plane can never go stale; and
 //! because [`IndexStore::shard_of`] still names the written shard, the cache layer's
 //! per-shard invalidation semantics are untouched by the new layout.
@@ -130,18 +130,13 @@ pub trait IndexStore: Send + Sync {
     /// this after an insert to invalidate exactly the shard that changed.
     fn shard_of(&self, document_id: u64) -> Option<usize>;
 
-    /// The shard's block-major [`ScanPlane`], if this store maintains one.
+    /// The shard's block-major [`ScanPlane`].
     ///
     /// A plane is a bit-sliced copy of the shard's indices that the engine sweeps
-    /// instead of pointer-chasing `shard_documents`; stores that return `Some`
-    /// **must** keep it in lockstep with every insert (both built-in stores do —
-    /// their planes are appended inside [`IndexStore::insert`], so restores and
-    /// `insert_all` rebuild them for free). The default `None` falls back to the
-    /// reference AoS scan.
-    fn scan_plane(&self, shard: usize) -> Option<&ScanPlane> {
-        let _ = shard;
-        None
-    }
+    /// instead of pointer-chasing `shard_documents`; it **must** stay in lockstep
+    /// with every insert (both built-in stores append to it inside
+    /// [`IndexStore::insert`], so restores and `insert_all` rebuild it for free).
+    fn scan_plane(&self, shard: usize) -> &ScanPlane;
 
     /// True if no documents are stored.
     fn is_empty(&self) -> bool {
@@ -245,9 +240,9 @@ impl IndexStore for VecStore {
         self.by_id.get(&document_id).map(|_| 0)
     }
 
-    fn scan_plane(&self, shard: usize) -> Option<&ScanPlane> {
+    fn scan_plane(&self, shard: usize) -> &ScanPlane {
         assert_eq!(shard, 0, "VecStore has a single shard");
-        Some(&self.plane)
+        &self.plane
     }
 }
 
@@ -334,8 +329,8 @@ impl IndexStore for ShardedStore {
             .map(|&(shard, _)| shard as usize)
     }
 
-    fn scan_plane(&self, shard: usize) -> Option<&ScanPlane> {
-        Some(&self.planes[shard])
+    fn scan_plane(&self, shard: usize) -> &ScanPlane {
+        &self.planes[shard]
     }
 }
 
@@ -417,7 +412,7 @@ mod tests {
         // A rejected insert must not dirty any plane.
         assert!(sharded.insert(indexer.index_keywords(3, &["dup"])).is_err());
 
-        let plane = vec_store.scan_plane(0).expect("VecStore maintains a plane");
+        let plane = vec_store.scan_plane(0);
         assert_eq!(plane.len(), vec_store.len());
         let ids: Vec<u64> = vec_store
             .documents()
@@ -427,7 +422,7 @@ mod tests {
         assert_eq!(plane.ids(), &ids[..]);
 
         for shard in 0..sharded.num_shards() {
-            let plane = sharded.scan_plane(shard).expect("per-shard plane");
+            let plane = sharded.scan_plane(shard);
             let docs = sharded.shard_documents(shard);
             assert_eq!(plane.len(), docs.len(), "shard {shard}");
             let ids: Vec<u64> = docs.iter().map(|d| d.document_id).collect();

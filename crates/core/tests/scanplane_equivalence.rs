@@ -17,7 +17,7 @@
 use mkse_core::scanplane::CHUNK;
 use mkse_core::{
     BitIndex, CacheConfig, CloudIndex, IndexStore, QueryIndex, RankedDocumentIndex, ScanPlane,
-    ScanScheduler, SearchEngine, SystemParams, TelemetryLevel,
+    SearchEngine, SystemParams, TelemetryLevel,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -184,7 +184,7 @@ fn scanplane_inserts_between_queries_keep_planes_and_cache_fresh() {
         }
         // Planes track their shards exactly.
         for shard in 0..engine.store().num_shards() {
-            let plane = engine.store().scan_plane(shard).expect("plane maintained");
+            let plane = engine.store().scan_plane(shard);
             assert_eq!(plane.len(), engine.store().shard_documents(shard).len());
         }
     }
@@ -210,7 +210,7 @@ fn scanplane_snapshot_restore_rebuilds_planes() {
         assert_eq!(restored.restore_snapshot(&bytes).unwrap(), docs.len());
         // The snapshot carries no plane bytes; restore rebuilt them via insert.
         for shard in 0..restored.store().num_shards() {
-            let plane = restored.store().scan_plane(shard).expect("plane rebuilt");
+            let plane = restored.store().scan_plane(shard);
             let shard_docs = restored.store().shard_documents(shard);
             assert_eq!(
                 plane.len(),
@@ -266,9 +266,9 @@ fn scanplane_steal_scheduler_heavy_configs_are_byte_identical() {
     // The work-stealing scheduler's correctness oracle at scale: a corpus big
     // enough that every shard's plane splits into several chunk-range work
     // units, swept under every (shards × lanes × granularity) combination of
-    // the runtime knobs, with the cache off and on — every reply, every stat
-    // and every cache counter must match the sequential reference (and a
-    // static-scheduler twin) byte for byte.
+    // the runtime knobs, with the cache off and on — every reply and every
+    // stat must match the sequential reference byte for byte, and every cache
+    // counter must match a 1-lane twin's (whole-shard units) exactly.
     let mut rng = StdRng::seed_from_u64(96);
     let r = 65; // ragged tail: 64 valid bits + 1
     let eta = 2;
@@ -293,13 +293,12 @@ fn scanplane_steal_scheduler_heavy_configs_are_byte_identical() {
         let mut cached =
             SearchEngine::sharded(params.clone(), shards).with_result_cache(CacheConfig::default());
         cached.insert_all(docs.iter().cloned()).unwrap();
-        // A static-scheduler twin with the same cache config: sub-shard
-        // execution must be invisible to the cache counters too.
-        let mut static_cached = SearchEngine::sharded(params.clone(), shards)
-            .with_scan_scheduler(ScanScheduler::Static)
+        // A 1-lane twin with the same cache config scans whole shards:
+        // sub-shard execution must be invisible to the cache counters too.
+        let mut one_lane_cached = SearchEngine::sharded(params.clone(), shards)
+            .with_scan_lanes(1)
             .with_result_cache(CacheConfig::default());
-        static_cached.insert_all(docs.iter().cloned()).unwrap();
-        assert_eq!(engine.scan_scheduler(), ScanScheduler::WorkStealing);
+        one_lane_cached.insert_all(docs.iter().cloned()).unwrap();
 
         for lanes in [1usize, 2, 3] {
             for granularity in [1usize, 8, 64] {
@@ -317,21 +316,24 @@ fn scanplane_steal_scheduler_heavy_configs_are_byte_identical() {
                 cached.set_steal_granularity(granularity);
                 cached.clear_cache();
                 cached.reset_cache_stats();
-                static_cached.set_scan_lanes(lanes);
-                static_cached.clear_cache();
-                static_cached.reset_cache_stats();
+                one_lane_cached.clear_cache();
+                one_lane_cached.reset_cache_stats();
                 for pass in ["cold", "warm"] {
                     assert_eq!(
                         cached.search_batch_with_stats(&batch),
                         expected_batch,
                         "cached fused batch differs: {ctx}, {pass}"
                     );
-                    let _ = static_cached.search_batch_with_stats(&batch);
+                    assert_eq!(
+                        one_lane_cached.search_batch_with_stats(&batch),
+                        expected_batch,
+                        "1-lane cached fused batch differs: {ctx}, {pass}"
+                    );
                 }
                 assert_eq!(
                     cached.cache_stats(),
-                    static_cached.cache_stats(),
-                    "cache counters must be scheduler-invisible: {ctx}"
+                    one_lane_cached.cache_stats(),
+                    "cache counters must not depend on unit size: {ctx}"
                 );
             }
         }

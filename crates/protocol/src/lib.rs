@@ -24,9 +24,9 @@
 //! their single entry point. The [`wire`] module frames envelopes as
 //! length-prefixed bytes (version byte + request id), and [`Client`] is the
 //! pipelined front door every session and example speaks through: submit many
-//! requests, flush once, correlate replies by id out of order. The legacy
-//! `handle_*` methods survive as thin deprecated shims over `Service::call` with
-//! byte-identical replies (`tests/envelope_equivalence.rs` proves it).
+//! requests, flush once, correlate replies by id out of order. A framed round
+//! trip replies byte-identically to a direct `Service::call`
+//! (`tests/envelope_equivalence.rs` proves it).
 
 pub mod channel;
 pub mod client;

@@ -18,9 +18,10 @@
 //! [`Service::call`], which executes any [`Request`] variant it serves (query,
 //! batch query, document retrieval, upload, cache admin, snapshot/restore,
 //! counters, info) and answers owner-side operations with
-//! [`ProtocolError::Unsupported`]. The public convenience methods — including
-//! the deprecated `handle_*` family — are thin shims over `call`, so replies are
-//! byte-identical no matter which surface a caller uses
+//! [`ProtocolError::Unsupported`]. The public convenience methods (uploads,
+//! cache admin, snapshots) are thin shims over `call`; queries and document
+//! retrieval go through `call` or a [`crate::Client`] only. A framed-codec round
+//! trip replies byte-identically to a direct `call`
 //! (`tests/envelope_equivalence.rs` asserts this across shard counts and cache
 //! configurations).
 
@@ -170,7 +171,22 @@ impl CloudServer {
         self.engine.len()
     }
 
-    fn reply_entries(&self, matches: Vec<SearchMatch>, top: Option<usize>) -> SearchReply {
+    /// Turn one engine execution into its reply and account it: the entries
+    /// (with their index metadata) up to `top`, the [`CacheReport`], and the
+    /// Table 2 counters — `binary_comparisons` counts the r-bit comparisons
+    /// actually performed, `comparisons_saved_by_cache` the ones the result
+    /// cache skipped (their sum is the cache-off Table 2 count), and
+    /// `cache_served_replies` the replies produced without any scan.
+    fn search_reply(
+        &mut self,
+        (matches, stats, effect): (Vec<SearchMatch>, SearchStats, CacheEffect),
+        top: Option<usize>,
+    ) -> SearchReply {
+        self.counters.binary_comparisons += stats.comparisons - effect.saved_comparisons;
+        self.counters.comparisons_saved_by_cache += effect.saved_comparisons;
+        if effect.fully_cached() {
+            self.counters.cache_served_replies += 1;
+        }
         let limit = top.unwrap_or(matches.len());
         let entries = matches
             .into_iter()
@@ -190,46 +206,38 @@ impl CloudServer {
             .collect();
         SearchReply {
             matches: entries,
-            cache: CacheReport::default(),
+            cache: CacheReport::from(effect),
         }
     }
 
-    /// Account one query execution: `binary_comparisons` counts the r-bit
-    /// comparisons actually performed, `comparisons_saved_by_cache` the ones the
-    /// result cache skipped (their sum is the cache-off Table 2 count), and
-    /// `cache_served_replies` the replies produced without any scan.
-    fn record_execution(&mut self, stats: &SearchStats, effect: &CacheEffect) {
-        self.counters.binary_comparisons += stats.comparisons - effect.saved_comparisons;
-        self.counters.comparisons_saved_by_cache += effect.saved_comparisons;
-        if effect.fully_cached() {
-            self.counters.cache_served_replies += 1;
-        }
-    }
-
+    /// A query (§4.3 + Algorithm 1): ranked search over every stored index,
+    /// returning matching document ids, ranks and their index metadata. With
+    /// the result cache enabled, a repeated query index skips the shard scans
+    /// entirely; the reply's [`CacheReport`] says what happened.
     fn exec_query(&mut self, message: &QueryMessage) -> SearchReply {
         let query = QueryIndex::from_bits(message.query.clone());
-        let (matches, stats, effect) = self.engine.search_ranked_with_effect(&query);
-        self.record_execution(&stats, &effect);
-        let mut reply = self.reply_entries(matches, message.top);
-        reply.cache = CacheReport::from(effect);
-        reply
+        let execution = self.engine.search_ranked_with_effect(&query);
+        self.search_reply(execution, message.top)
     }
 
+    /// A batched query: every query of the batch is evaluated in a single
+    /// **fused** pass over each shard (with the cache enabled, each shard scans
+    /// exactly the unique queries that missed it; repeated query indices inside
+    /// one batch scan once and fan out, reported in each reply's
+    /// [`CacheReport`] exactly as if the queries had been sent one at a time).
+    /// One [`SearchReply`] per query in request order; comparison counts
+    /// accumulate exactly as if the queries had been sent individually.
     fn exec_batch_query(&mut self, message: &BatchQueryMessage) -> BatchSearchReply {
         let queries: Vec<QueryIndex> = message
             .queries
             .iter()
             .map(|bits| QueryIndex::from_bits(bits.clone()))
             .collect();
-        let results = self.engine.search_batch_with_effects(&queries);
-        let replies = results
+        let replies = self
+            .engine
+            .search_batch_with_effects(&queries)
             .into_iter()
-            .map(|(matches, stats, effect)| {
-                self.record_execution(&stats, &effect);
-                let mut reply = self.reply_entries(matches, message.top);
-                reply.cache = CacheReport::from(effect);
-                reply
-            })
+            .map(|execution| self.search_reply(execution, message.top))
             .collect();
         BatchSearchReply { replies }
     }
@@ -253,16 +261,11 @@ impl CloudServer {
             .iter()
             .map(|m| QueryIndex::from_bits(m.query.clone()))
             .collect();
-        let results = self.engine.search_batch_with_effects(&queries);
-        results
+        self.engine
+            .search_batch_with_effects(&queries)
             .into_iter()
             .zip(messages)
-            .map(|((matches, stats, effect), message)| {
-                self.record_execution(&stats, &effect);
-                let mut reply = self.reply_entries(matches, message.top);
-                reply.cache = CacheReport::from(effect);
-                Response::Search(reply)
-            })
+            .map(|(execution, message)| Response::Search(self.search_reply(execution, message.top)))
             .collect()
     }
 
@@ -279,55 +282,6 @@ impl CloudServer {
             documents.push(doc.clone());
         }
         Ok(DocumentReply { documents })
-    }
-
-    /// Handle a query (§4.3 + Algorithm 1): ranked search over every stored index, returning
-    /// matching document ids, ranks and their index metadata. With the result cache
-    /// enabled, a repeated query index skips the shard scans entirely; the reply's
-    /// [`CacheReport`] says what happened.
-    #[deprecated(note = "route queries through `Service::call` or a `crate::Client` \
-                         (`Request::Query`); this shim forwards there unchanged")]
-    pub fn handle_query(&mut self, message: &QueryMessage) -> SearchReply {
-        match self.call(Request::Query(message.clone())) {
-            Response::Search(reply) => reply,
-            other => unreachable!("Query answered with {}", other.name()),
-        }
-    }
-
-    /// Handle a batched query: every query of the batch is evaluated in a single
-    /// **fused** pass over each shard — the shard's scan-plane arena is streamed
-    /// once for the whole (cache-missed, intra-batch-deduplicated) query set, so a
-    /// b-query round trip pays one sweep's memory traffic instead of b (with the
-    /// cache enabled, each shard scans exactly the unique queries that missed it;
-    /// repeated query indices inside one batch scan once and fan out, reported in
-    /// each reply's [`CacheReport`] exactly as if the queries had been sent one at
-    /// a time). The reply carries one [`SearchReply`] per query in request order,
-    /// and logical comparison counts accumulate exactly as if the queries had been
-    /// sent individually.
-    #[deprecated(
-        note = "route batched queries through `Service::call` or a `crate::Client` \
-                         (`Request::BatchQuery`); this shim forwards there unchanged"
-    )]
-    pub fn handle_batch_query(&mut self, message: &BatchQueryMessage) -> BatchSearchReply {
-        match self.call(Request::BatchQuery(message.clone())) {
-            Response::BatchSearch(reply) => reply,
-            other => unreachable!("BatchQuery answered with {}", other.name()),
-        }
-    }
-
-    /// Handle a document-retrieval request: return the ciphertexts and RSA-encrypted keys of
-    /// the requested documents.
-    #[deprecated(note = "route retrieval through `Service::call` or a `crate::Client` \
-                         (`Request::Documents`); this shim forwards there unchanged")]
-    pub fn handle_document_request(
-        &mut self,
-        request: &DocumentRequest,
-    ) -> Result<DocumentReply, ProtocolError> {
-        match self.call(Request::Documents(request.clone())) {
-            Response::Documents(reply) => Ok(reply),
-            Response::Error(e) => Err(e),
-            other => unreachable!("Documents answered with {}", other.name()),
-        }
     }
 
     /// Operation counters accumulated so far (binary comparisons only — the server does no
@@ -449,9 +403,6 @@ impl Service for CloudServer {
 }
 
 #[cfg(test)]
-// The legacy `handle_*` shims are exercised on purpose: they must stay
-// byte-identical to `Service::call` until removal.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::data_owner::{DataOwner, OwnerConfig};
@@ -474,6 +425,31 @@ mod tests {
         (owner, server, rng)
     }
 
+    fn call_query(server: &mut CloudServer, message: &QueryMessage) -> SearchReply {
+        match server.call(Request::Query(message.clone())) {
+            Response::Search(reply) => reply,
+            other => panic!("Query answered with {}", other.name()),
+        }
+    }
+
+    fn call_batch(server: &mut CloudServer, message: &BatchQueryMessage) -> BatchSearchReply {
+        match server.call(Request::BatchQuery(message.clone())) {
+            Response::BatchSearch(reply) => reply,
+            other => panic!("BatchQuery answered with {}", other.name()),
+        }
+    }
+
+    fn call_documents(
+        server: &mut CloudServer,
+        request: &DocumentRequest,
+    ) -> Result<DocumentReply, ProtocolError> {
+        match server.call(Request::Documents(request.clone())) {
+            Response::Documents(reply) => Ok(reply),
+            Response::Error(e) => Err(e),
+            other => panic!("Documents answered with {}", other.name()),
+        }
+    }
+
     fn query_for(owner: &DataOwner, keywords: &[&str], rng: &mut StdRng) -> QueryMessage {
         let trapdoors = owner.scheme_keys().trapdoors_for(owner.params(), keywords);
         let pool = owner.random_pool_trapdoors();
@@ -492,7 +468,7 @@ mod tests {
         let (owner, mut server, mut rng) = populated_server();
         assert_eq!(server.num_documents(), 3);
         // "cloud" is stemmed to "cloud"; documents 0 and 2 contain it.
-        let reply = server.handle_query(&query_for(&owner, &["cloud"], &mut rng));
+        let reply = call_query(&mut server, &query_for(&owner, &["cloud"], &mut rng));
         let ids: Vec<u64> = reply.matches.iter().map(|m| m.document_id).collect();
         assert!(ids.contains(&0));
         assert!(ids.contains(&2));
@@ -509,18 +485,17 @@ mod tests {
         let (owner, mut server, mut rng) = populated_server();
         let mut msg = query_for(&owner, &["cloud"], &mut rng);
         msg.top = Some(1);
-        let reply = server.handle_query(&msg);
+        let reply = call_query(&mut server, &msg);
         assert_eq!(reply.matches.len(), 1);
     }
 
     #[test]
     fn document_request_returns_ciphertexts() {
         let (_, mut server, _) = populated_server();
-        let reply = server
-            .handle_document_request(&DocumentRequest {
-                document_ids: vec![0, 2],
-            })
-            .unwrap();
+        let request = DocumentRequest {
+            document_ids: vec![0, 2],
+        };
+        let reply = call_documents(&mut server, &request).unwrap();
         assert_eq!(reply.documents.len(), 2);
         assert_eq!(reply.documents[0].document_id, 0);
         assert!(!reply.documents[0].ciphertext.is_empty());
@@ -529,10 +504,11 @@ mod tests {
     #[test]
     fn unknown_document_is_an_error() {
         let (_, mut server, _) = populated_server();
+        let request = DocumentRequest {
+            document_ids: vec![99],
+        };
         assert_eq!(
-            server.handle_document_request(&DocumentRequest {
-                document_ids: vec![99]
-            }),
+            call_documents(&mut server, &request),
             Err(ProtocolError::UnknownDocument(99))
         );
     }
@@ -542,7 +518,7 @@ mod tests {
         let (owner, mut server, mut rng) = populated_server();
         let q1 = query_for(&owner, &["cloud"], &mut rng);
         let q2 = query_for(&owner, &["weather"], &mut rng);
-        let individual = vec![server.handle_query(&q1), server.handle_query(&q2)];
+        let individual = vec![call_query(&mut server, &q1), call_query(&mut server, &q2)];
         let singles_comparisons = server.counters().binary_comparisons;
         server.reset_counters();
 
@@ -550,7 +526,7 @@ mod tests {
             queries: vec![q1.query.clone(), q2.query.clone()],
             top: None,
         };
-        let batched = server.handle_batch_query(&batch);
+        let batched = call_batch(&mut server, &batch);
         assert_eq!(batched.replies, individual);
         // Comparison accounting is identical to sending the queries one by one.
         assert_eq!(server.counters().binary_comparisons, singles_comparisons);
@@ -574,7 +550,10 @@ mod tests {
         assert_eq!(sharded.num_shards(), 4);
 
         let msg = query_for(&owner, &["privacy"], &mut rng);
-        assert_eq!(sequential.handle_query(&msg), sharded.handle_query(&msg));
+        assert_eq!(
+            call_query(&mut sequential, &msg),
+            call_query(&mut sharded, &msg)
+        );
     }
 
     #[test]
@@ -597,14 +576,14 @@ mod tests {
         assert!(server.result_cache_enabled());
         let msg = query_for(&owner, &["cloud"], &mut rng);
 
-        let first = server.handle_query(&msg);
+        let first = call_query(&mut server, &msg);
         assert!(!first.cache.served_from_cache, "cold cache must scan");
         assert_eq!(first.cache.shard_hits, 0);
         let scanned = server.counters().binary_comparisons;
         assert!(scanned > 0);
         assert_eq!(server.counters().comparisons_saved_by_cache, 0);
 
-        let second = server.handle_query(&msg);
+        let second = call_query(&mut server, &msg);
         // Identical reply bytes; only the cache diagnostics differ.
         assert_eq!(second.matches, first.matches);
         assert!(second.cache.served_from_cache);
@@ -619,7 +598,7 @@ mod tests {
         // An upload invalidates; the next query rescans and still matches.
         server.disable_result_cache();
         assert!(server.cache_stats().is_none());
-        let uncached = server.handle_query(&msg);
+        let uncached = call_query(&mut server, &msg);
         assert_eq!(uncached.matches, first.matches);
         assert_eq!(uncached.cache, CacheReport::default());
     }
@@ -633,13 +612,13 @@ mod tests {
             queries: vec![q1.query.clone(), q2.query.clone()],
             top: None,
         };
-        let uncached = server.handle_batch_query(&batch);
+        let uncached = call_batch(&mut server, &batch);
         server.reset_counters();
         server.enable_result_cache(64);
 
-        let cold = server.handle_batch_query(&batch);
+        let cold = call_batch(&mut server, &batch);
         let logical = server.counters().binary_comparisons;
-        let warm = server.handle_batch_query(&batch);
+        let warm = call_batch(&mut server, &batch);
         for ((u, c), w) in uncached
             .replies
             .iter()
@@ -674,15 +653,15 @@ mod tests {
         sequential.enable_result_cache(64);
         sequential.reset_counters();
         let individual = vec![
-            sequential.handle_query(&q1),
-            sequential.handle_query(&q2),
-            sequential.handle_query(&q1),
+            call_query(&mut sequential, &q1),
+            call_query(&mut sequential, &q2),
+            call_query(&mut sequential, &q1),
         ];
         let sequential_counters = *sequential.counters();
 
         server.enable_result_cache(64);
         server.reset_counters();
-        let batched = server.handle_batch_query(&batch);
+        let batched = call_batch(&mut server, &batch);
         // Byte-identical replies, including each reply's CacheReport: the
         // duplicate is served as the cache hit sequential execution produces.
         assert_eq!(batched.replies, individual);
@@ -753,8 +732,8 @@ mod tests {
         let (owner, mut server, mut rng) = populated_server();
         server.enable_result_cache(64);
         let msg = query_for(&owner, &["cloud"], &mut rng);
-        let _ = server.handle_query(&msg);
-        assert!(server.handle_query(&msg).cache.served_from_cache);
+        let _ = call_query(&mut server, &msg);
+        assert!(call_query(&mut server, &msg).cache.served_from_cache);
 
         // New upload: at least the written shards rescan, and results include
         // nothing stale.
@@ -762,7 +741,7 @@ mod tests {
         let docs = vec![Document::from_text(77, "unrelated content entirely")];
         let (indices, encrypted) = owner2.prepare_documents(&docs, &mut rng);
         server.upload(indices, encrypted).unwrap();
-        let after_upload = server.handle_query(&msg);
+        let after_upload = call_query(&mut server, &msg);
         assert!(!after_upload.cache.served_from_cache);
 
         // Snapshot → restore into a fresh cached server: identical matches, cold cache.
@@ -770,7 +749,7 @@ mod tests {
         let mut restored = CloudServer::with_shards(owner.params().clone(), 2);
         restored.enable_result_cache(64);
         assert_eq!(restored.restore_index(&bytes).unwrap(), 4);
-        let replayed = restored.handle_query(&msg);
+        let replayed = call_query(&mut restored, &msg);
         assert_eq!(replayed.matches, after_upload.matches);
         assert_eq!(replayed.cache.shard_hits, 0, "restored cache must be cold");
         assert!(matches!(
@@ -783,7 +762,7 @@ mod tests {
     fn metrics_snapshot_is_served_and_requests_served_reads_the_registry() {
         let (owner, mut server, mut rng) = populated_server();
         server.set_telemetry_level(TelemetryLevel::Counters);
-        let _ = server.handle_query(&query_for(&owner, &["cloud"], &mut rng));
+        let _ = call_query(&mut server, &query_for(&owner, &["cloud"], &mut rng));
         let report = match server.call(Request::MetricsSnapshot) {
             Response::MetricsReport(snapshot) => snapshot,
             other => unreachable!("MetricsSnapshot answered with {}", other.name()),
@@ -811,7 +790,7 @@ mod tests {
     #[test]
     fn server_counters_reset() {
         let (owner, mut server, mut rng) = populated_server();
-        let _ = server.handle_query(&query_for(&owner, &["cloud"], &mut rng));
+        let _ = call_query(&mut server, &query_for(&owner, &["cloud"], &mut rng));
         assert!(server.counters().binary_comparisons > 0);
         server.reset_counters();
         assert_eq!(server.counters().binary_comparisons, 0);

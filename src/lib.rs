@@ -153,23 +153,24 @@
 //!   (`tests/sharded_engine_equivalence.rs` asserts all of this for shard counts
 //!   1, 2, 7 and 16 on randomized corpora). Scan lanes are clamped to the host's
 //!   available parallelism and fully decoupled from the shard count: the
-//!   `set_scan_lanes(n)` runtime knob resizes the persistent worker pool, and a
-//!   **work-stealing scheduler** ([`core::ScanScheduler`], the default) carves
-//!   every shard's plane into chunk-range units (`set_steal_granularity` chunks
-//!   each), deals them to per-lane lock-free deques, and lets idle lanes steal
-//!   from victims' tails — an oversharded store no longer serializes whole
+//!   `set_scan_lanes(n)` runtime knob resizes the persistent worker pool, and
+//!   one **work-stealing executor** runs every scan: with more than one lane it
+//!   carves every shard's plane into chunk-range units (`set_steal_granularity`
+//!   chunks each), deals them to per-lane lock-free deques, and lets idle lanes
+//!   steal from victims' tails — an oversharded store never serializes whole
 //!   shards onto lanes, and a wide host keeps every lane busy regardless of the
-//!   shard geometry. Each unit's partial result counts exactly the documents of
+//!   shard geometry; with one lane (and for unranked/metadata scans) a unit is
+//!   a whole shard. Each unit's partial result counts exactly the documents of
 //!   its range, and results are stitched in unit order before the (rank, id)
-//!   merge, so replies, per-query stats and cache counters are byte-identical
-//!   to the static fan-out (`ScanScheduler::Static` stays selectable; the
+//!   merge, so replies and per-query stats are byte-identical to the
+//!   sequential reference and cache counters to a 1-lane engine's (the
 //!   steal-heavy sweeps in both equivalence suites enforce this at every
-//!   shards × lanes × granularity point, and `BENCH_sched.json` records the
-//!   static-vs-stealing trajectory). Batched execution deduplicates repeated
-//!   query fingerprints inside one batch (hot Zipf keywords scan once and fan
-//!   out, with the duplicates accounted as the cache hits sequential execution
-//!   would report) and hands the scheduler the whole remaining query set for
-//!   fused plane passes over the missed shards.
+//!   shards × lanes × granularity point). A single query and a batch share
+//!   one ranked body: it deduplicates repeated query fingerprints inside a
+//!   batch (hot Zipf keywords scan once and fan out, with the duplicates
+//!   accounted as the cache hits sequential execution would report) and hands
+//!   the executor the whole remaining query set for fused plane passes over
+//!   the missed shards.
 //! * **Cache** ([`core::cache`]): an optional per-shard LRU of shard-scan results,
 //!   keyed by a collision-checked [`core::QueryFingerprint`] of the query bits.
 //!   Per-shard **write generations** invalidate exactly the shard an insert landed
@@ -196,8 +197,8 @@
 //!   can **pipeline**: submit a window of requests, flush once, and correlate
 //!   replies by id out of order. Because every exchange crosses the codec, the
 //!   `CostLedger` records measured framed wire bytes next to the analytic
-//!   Table 1 bits, and the legacy `handle_*` methods survive only as deprecated
-//!   shims over `Service::call` with byte-identical replies.
+//!   Table 1 bits. Queries and document retrieval have no other server entry
+//!   point than `Service::call`.
 //! * **Transport / batcher** ([`net`]): the [`net::Hub`] owns a `Service` on a
 //!   single dispatcher thread and accepts any number of concurrent connections
 //!   (TCP via `bind_tcp`, or deterministic in-process [`net::MemoryLink`]s via

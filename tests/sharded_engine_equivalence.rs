@@ -21,17 +21,17 @@
 //! `mkse-core/tests/scanplane_equivalence.rs`, which CI additionally runs in
 //! release mode.
 //!
-//! Since PR 6 shard scans are dispatched by a work-stealing scheduler over
-//! chunk-range work units, so the contract gains two more knobs: lane count and
-//! steal granularity. The steal-heavy sweep below holds every combination of
+//! Shard scans are dispatched by a work-stealing executor over chunk-range
+//! work units, so the contract gains two more knobs: lane count and steal
+//! granularity. The steal-heavy sweep below holds every combination of
 //! shards × lanes × granularity — cache on and off, fused batches with
 //! duplicates — to the same byte-identical bar, including the cache hit/miss
-//! counters, which must not be able to tell the schedulers apart.
+//! counters, which must match a 1-lane (whole-shard unit) twin's exactly.
 
 use mkse::core::scanplane::CHUNK;
 use mkse::core::{
-    CacheConfig, CloudIndex, DocumentIndexer, QueryBuilder, QueryIndex, ScanScheduler, SchemeKeys,
-    SearchEngine, SystemParams,
+    CacheConfig, CloudIndex, DocumentIndexer, QueryBuilder, QueryIndex, SchemeKeys, SearchEngine,
+    SystemParams,
 };
 use mkse::textproc::corpus::{CorpusSpec, FrequencyModel, SyntheticCorpus};
 use rand::rngs::StdRng;
@@ -221,12 +221,12 @@ fn steal_scheduler_heavy_configs_are_byte_identical() {
         let mut cached = SearchEngine::sharded(wl.params.clone(), shards)
             .with_result_cache(CacheConfig::default());
         cached.insert_all(wl.indices.iter().cloned()).unwrap();
-        // A statically scheduled cached twin: the cache layer sits above the
-        // scheduler, so its hit/miss/admission counters must match exactly.
-        let mut static_cached = SearchEngine::sharded(wl.params.clone(), shards)
-            .with_scan_scheduler(ScanScheduler::Static)
+        // A 1-lane cached twin scans whole shards: the cache layer sits above
+        // the units, so its hit/miss/admission counters must match exactly.
+        let mut one_lane_cached = SearchEngine::sharded(wl.params.clone(), shards)
+            .with_scan_lanes(1)
             .with_result_cache(CacheConfig::default());
-        static_cached
+        one_lane_cached
             .insert_all(wl.indices.iter().cloned())
             .unwrap();
 
@@ -252,9 +252,10 @@ fn steal_scheduler_heavy_configs_are_byte_identical() {
                     );
                 }
 
-                // Cache counters are scheduler-invisible: start both caches
-                // cold, run a cold + warm pass, compare replies and counters.
-                for eng in [&mut cached, &mut static_cached] {
+                // Cache counters do not depend on unit size: start both
+                // caches cold, run a cold + warm pass, compare replies and
+                // counters.
+                for eng in [&mut cached, &mut one_lane_cached] {
                     eng.clear_cache();
                     eng.reset_cache_stats();
                 }
@@ -267,7 +268,11 @@ fn steal_scheduler_heavy_configs_are_byte_identical() {
                             expected[qi],
                             "cached stealing differs: {ctx}, {pass}, query {qi}"
                         );
-                        let _ = static_cached.search_ranked_with_stats(query);
+                        assert_eq!(
+                            one_lane_cached.search_ranked_with_stats(query),
+                            expected[qi],
+                            "1-lane cached differs: {ctx}, {pass}, query {qi}"
+                        );
                     }
                     let warm_batch = cached.search_batch_with_stats(&batch);
                     for (qi, got) in warm_batch.iter().enumerate() {
@@ -276,11 +281,15 @@ fn steal_scheduler_heavy_configs_are_byte_identical() {
                             "cached stealing batch differs: {ctx}, {pass}, query {qi}"
                         );
                     }
-                    let _ = static_cached.search_batch_with_stats(&batch);
+                    assert_eq!(
+                        one_lane_cached.search_batch_with_stats(&batch),
+                        expected_batch,
+                        "1-lane cached batch differs: {ctx}, {pass}"
+                    );
                     assert_eq!(
                         cached.cache_stats(),
-                        static_cached.cache_stats(),
-                        "cache counters must be scheduler-invisible: {ctx}, {pass}"
+                        one_lane_cached.cache_stats(),
+                        "cache counters must not depend on unit size: {ctx}, {pass}"
                     );
                 }
             }
